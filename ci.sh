@@ -33,6 +33,14 @@ echo "$CACHE_OUT" | grep -q "cache-smoke: warm-hit-rate-nonzero=yes" || {
   exit 1
 }
 
+echo "== smoke: genomic index (E8 bench: indexed and scanned contains() agree) =="
+E8_OUT=$(dune exec bench/main.exe -- E8)
+echo "$E8_OUT"
+echo "$E8_OUT" | grep -q "genomic-smoke: results-identical=yes" || {
+  echo "genomic smoke FAILED: the genomic index changed a contains() result set" >&2
+  exit 1
+}
+
 echo "== smoke: parallel engine (PAR bench: hash join >=2x, jobs-identical) =="
 PAR_OUT=$(GENALG_PAR_N=2500 dune exec bench/main.exe -- PAR)
 echo "$PAR_OUT"

@@ -6,6 +6,22 @@ let c_deletes = Obs.counter "storage.heap.deletes"
 
 type rid = { page : int; slot : int }
 
+(* A page holds at most [page_size / slot_bytes] slot-directory entries,
+   so that many slot numbers fit below the page bits. *)
+let slot_bits =
+  let max_slots = Page.page_size / Page.slot_bytes in
+  let rec bits b = if 1 lsl b >= max_slots then b else bits (b + 1) in
+  bits 0
+
+let slot_mask = (1 lsl slot_bits) - 1
+
+let rid_to_int r =
+  if r.page < 0 || r.page > max_int lsr slot_bits || r.slot < 0 || r.slot > slot_mask
+  then invalid_arg "Heap.rid_to_int: rid out of range";
+  (r.page lsl slot_bits) lor r.slot
+
+let rid_of_int i = { page = i lsr slot_bits; slot = i land slot_mask }
+
 (* Pages live behind the buffer pool: serialized images are the "disk"
    tier, decoded frames a bounded LRU in front of it. The public API is
    unchanged — callers still see an append-friendly bag of records. *)

@@ -6,6 +6,17 @@ type t
 type rid = { page : int; slot : int }
 (** A record's physical address. *)
 
+val rid_to_int : rid -> int
+(** Pack a rid into one immediate int: the page above the low
+    [log2 (Page.page_size / Page.slot_bytes)] bits (10 for 8 KiB pages),
+    the slot in them. No two rids share an int, and int order is the
+    [(page, slot)] order of [compare]. Raises [Invalid_argument] for a
+    negative page or slot, a slot no page can hold, or a page too large
+    to shift into an int. *)
+
+val rid_of_int : int -> rid
+(** Inverse of {!rid_to_int}. *)
+
 val create : unit -> t
 
 val insert : t -> bytes -> rid

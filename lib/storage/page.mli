@@ -10,6 +10,10 @@ type t
 val page_size : int
 (** 8192 bytes. *)
 
+val slot_bytes : int
+(** Bytes per slot-directory entry (8), so a page never holds more than
+    [page_size / slot_bytes] slots. *)
+
 val create : unit -> t
 
 val insert : t -> bytes -> int option

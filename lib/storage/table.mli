@@ -141,9 +141,10 @@ val share_genomic_indexes : src:t -> dst:t -> unit
     [dst] (a fresh clone of [src]), clearing the matching pending specs
     so the attach-time rebuild is skipped. Only applies when both heaps
     assign identical record ids in scan order (postings carry rids);
-    otherwise a no-op and [dst]'s specs stay pending. Each side
-    deep-copies the shared postings before its first write, so the
-    handles never observe each other's mutations. *)
+    otherwise a no-op and [dst]'s specs stay pending. Each side copies
+    the shared store before its first write, and each postings buffer
+    before writing into it, so the handles never observe each other's
+    mutations (see {!Text_index.cow_clone}). *)
 
 val genomic_k : t -> column:string -> int option
 (** The k-mer width of the column's genomic index, when one exists. The

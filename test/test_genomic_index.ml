@@ -75,6 +75,223 @@ let test_text_index_ambiguous_rows () =
       Alcotest.failf "expected the ambiguous row to match, got %s"
         (match other with None -> "None" | Some l -> string_of_int (List.length l))
 
+(* ---- rid packing ------------------------------------------------------- *)
+
+module Heap = Genalg_storage.Heap
+
+let test_rid_packing () =
+  let rids =
+    List.concat_map
+      (fun page -> List.map (fun slot -> { Heap.page; slot }) [ 0; 1; 511; 1022; 1023 ])
+      [ 0; 1; 2; 1 lsl 21; (1 lsl 21) + 1; 1 lsl 40 ]
+  in
+  List.iter
+    (fun r ->
+      check Alcotest.bool "roundtrip" true (Heap.rid_of_int (Heap.rid_to_int r) = r);
+      List.iter
+        (fun r' ->
+          check Alcotest.int "int order is (page, slot) order" (compare r r')
+            (Int.compare (Heap.rid_to_int r) (Heap.rid_to_int r')))
+        rids)
+    rids;
+  List.iter
+    (fun r ->
+      match Heap.rid_to_int r with
+      | _ -> Alcotest.fail "out-of-range rid packed"
+      | exception Invalid_argument _ -> ())
+    [ { Heap.page = 0; slot = 1024 }; { Heap.page = -1; slot = 0 };
+      { Heap.page = 0; slot = -1 }; { Heap.page = max_int; slot = 0 } ]
+
+(* ---- model-based schedules ------------------------------------------- *)
+
+module Q = QCheck2
+
+(* The reference model: a handle's live records as (rid, payload) pairs,
+   searched naively through the support's own functions. *)
+type model = (Heap.rid * bytes) list
+
+type op =
+  | Add of int * Heap.rid * string
+  | Remove of int * int
+  | Clone of int
+
+let pure s = String.for_all (function 'A' | 'C' | 'G' | 'T' -> true | _ -> false) s
+
+let contains_sub text sub =
+  let n = String.length text and m = String.length sub in
+  let rec at i = i + m <= n && (String.sub text i m = sub || at (i + 1)) in
+  at 0
+
+let windows k s =
+  List.init (max 0 (String.length s - k + 1)) (fun i -> String.sub s i k)
+  |> List.filter pure
+
+let sorted_rids l = List.sort_uniq compare l
+
+let model_text support payload =
+  match support.Udt.index_text payload with
+  | `Always_candidate -> None
+  | `Text t -> Some t
+
+let model_always support (_, payload) =
+  match model_text support payload with None -> true | Some t -> not (pure t)
+
+let model_candidates support k (m : model) pattern =
+  if String.length pattern < k || not (pure (String.sub pattern 0 k)) then None
+  else
+    let first = String.sub pattern 0 k in
+    Some
+      (List.filter
+         (fun ((_, payload) as r) ->
+           model_always support r
+           ||
+           match model_text support payload with
+           | Some t -> contains_sub (String.uppercase_ascii t) first
+           | None -> false)
+         m
+      |> List.map fst |> sorted_rids)
+
+let model_seed support k (m : model) pattern min_len =
+  if String.length pattern < k || not (pure pattern) then None
+  else
+    let ws = windows k pattern in
+    Some
+      (List.filter
+         (fun ((_, payload) as r) ->
+           model_always support r
+           ||
+           match model_text support payload with
+           | Some t ->
+               String.length t < min_len
+               || List.exists (contains_sub (String.uppercase_ascii t)) ws
+           | None -> false)
+         m
+      |> List.map fst |> sorted_rids)
+
+let model_search support k m pattern =
+  Option.map
+    (fun _ ->
+      List.filter (fun (_, payload) -> support.Udt.matches payload ~pattern) m
+      |> List.map fst |> sorted_rids)
+    (model_candidates support k m pattern)
+
+let model_kmers support k m =
+  List.concat_map
+    (fun (_, payload) ->
+      match model_text support payload with
+      | Some t -> windows k (String.uppercase_ascii t)
+      | None -> [])
+    m
+  |> List.sort_uniq String.compare |> List.length
+
+let model_mean_len support m =
+  let lens = List.filter_map (fun (_, p) -> Option.map String.length (model_text support p)) m in
+  if lens = [] then None
+  else Some (float_of_int (List.fold_left ( + ) 0 lens) /. float_of_int (List.length lens))
+
+let agrees support k patterns (idx, m) =
+  let payload_of r = List.assoc_opt r m in
+  Text_index.indexed_records idx = List.length m
+  && Text_index.distinct_kmers idx = model_kmers support k m
+  && Text_index.mean_len idx = model_mean_len support m
+  && List.for_all
+       (fun (p, min_len) ->
+         Text_index.candidates idx ~pattern:p = model_candidates support k m p
+         && Text_index.seed_candidates idx ~pattern:p ~min_len = model_seed support k m p min_len
+         && Text_index.search idx ~pattern:p ~payload_of = model_search support k m p)
+       patterns
+
+(* Run [ops] over handles born by [cow_clone]; every handle must agree
+   with its own model after every step, so a write on either side of a
+   clone that leaked to the other would show. *)
+let run_schedule support ~encode (k, ops, patterns) =
+  let handles = ref [| (Text_index.create ~k support, ([] : model)) |] in
+  let step op =
+    let hs = !handles in
+    let pick h = h mod Array.length hs in
+    match op with
+    | Add (h, rid, text) ->
+        let idx, m = hs.(pick h) in
+        if not (List.mem_assoc rid m) then begin
+          let payload = encode text in
+          Text_index.add idx rid payload;
+          hs.(pick h) <- (idx, (rid, payload) :: m)
+        end
+    | Remove (h, i) -> (
+        let idx, m = hs.(pick h) in
+        match m with
+        | [] -> ()
+        | _ ->
+            let rid, payload = List.nth m (i mod List.length m) in
+            Text_index.remove idx rid payload;
+            hs.(pick h) <- (idx, List.remove_assoc rid m))
+    | Clone h ->
+        if Array.length hs < 4 then begin
+          let idx, m = hs.(pick h) in
+          handles := Array.append hs [| (Text_index.cow_clone idx, m) |]
+        end
+  in
+  List.for_all
+    (fun op ->
+      step op;
+      Array.for_all (agrees support k patterns) !handles)
+    ops
+
+let schedule_gen ~letters =
+  let open Q.Gen in
+  let text = string_size ~gen:(oneofl letters) (int_range 0 24) in
+  (* out-of-order rids: low pages, pages above 2^21, slot 1022 *)
+  let rid =
+    map2
+      (fun page slot -> { Heap.page; slot })
+      (oneofl [ 0; 1; 3; 1 lsl 21; (1 lsl 21) + 2; (1 lsl 30) + 7 ])
+      (oneofl [ 0; 1; 2; 700; 1021; 1022 ])
+  in
+  let op =
+    frequency
+      [
+        (5, map3 (fun h r t -> Add (h, r, t)) (int_bound 3) rid text);
+        (3, map2 (fun h i -> Remove (h, i)) (int_bound 3) (int_bound 50));
+        (1, map (fun h -> Clone h) (int_bound 3));
+      ]
+  in
+  let pattern = pair (string_size ~gen:(oneofl letters) (int_range 0 8)) (int_range 0 20) in
+  triple (int_range 2 4) (list_size (int_range 1 40) op) (list_size (return 6) pattern)
+
+let print_schedule (k, ops, _) =
+  Printf.sprintf "k=%d %s" k
+    (String.concat "; "
+       (List.map
+          (function
+            | Add (h, r, t) -> Printf.sprintf "add h%d (%d,%d) %S" h r.Heap.page r.Heap.slot t
+            | Remove (h, i) -> Printf.sprintf "remove h%d #%d" h i
+            | Clone h -> Printf.sprintf "clone h%d" h)
+          ops))
+
+let test_model_dna =
+  (* DNA payloads through the adapter's support: N makes a record an
+     always-candidate *)
+  QCheck_alcotest.to_alcotest
+    (Q.Test.make ~count:200 ~name:"random schedules match the model (dna)"
+       ~print:print_schedule
+       (schedule_gen ~letters:[ 'A'; 'C'; 'G'; 'T'; 'A'; 'C'; 'N' ])
+       (run_schedule (dna_support ()) ~encode:dna_payload))
+
+let test_model_raw_text =
+  (* index text with letters outside A/C/G/T: the record keeps its exact
+     k-mers and is an always-candidate too *)
+  let support =
+    {
+      Udt.index_text = (fun p -> `Text (Bytes.to_string p));
+      matches = (fun p ~pattern -> contains_sub (Bytes.to_string p) pattern);
+    }
+  in
+  QCheck_alcotest.to_alcotest
+    (Q.Test.make ~count:200 ~name:"random schedules match the model (raw text)"
+       ~print:print_schedule
+       (schedule_gen ~letters:[ 'A'; 'C'; 'G'; 'T'; 'N' ])
+       (run_schedule support ~encode:Bytes.of_string))
+
 (* ---- Table-level ------------------------------------------------------- *)
 
 let table_fixture () =
@@ -124,6 +341,34 @@ let test_table_genomic_index () =
   match Table.genomic_search table ~column:"seq" ~pattern:"ACGT" with
   | `Unsupported_pattern -> ()
   | _ -> Alcotest.fail "short pattern should be unsupported"
+
+(* ---- footprint --------------------------------------------------------- *)
+
+(* Postings are packed rid gaps in per-k-mer byte buffers: a few bytes
+   per (k-mer, record) pair, not a heap cell each. *)
+let test_postings_footprint () =
+  let _, table = table_fixture () in
+  let rng = Genalg_synth.Rng.make 2000 in
+  let seqs = List.init 2000 (fun _ -> Genalg_synth.Seqgen.dna_string rng 500) in
+  let rows =
+    List.mapi
+      (fun i s ->
+        let payload = dna_payload s in
+        (Table.insert_exn table [| D.Int i; D.Opaque ("dna", payload) |], payload))
+      seqs
+  in
+  let idx = Text_index.create (dna_support ()) in
+  List.iter (fun (rid, payload) -> Text_index.add idx rid payload) rows;
+  let postings =
+    List.fold_left
+      (fun acc s -> acc + List.length (List.sort_uniq String.compare (windows 8 s)))
+      0 seqs
+  in
+  let bytes = Obj.reachable_words (Obj.repr idx) * 8 in
+  let per_posting = float_of_int bytes /. float_of_int postings in
+  if per_posting > 8. then
+    Alcotest.failf "%.2f bytes per posting (%d bytes, %d postings)" per_posting bytes postings
+  else Printf.printf "FOOT %.2f\n" per_posting
 
 (* ---- SQL level ----------------------------------------------------------- *)
 
@@ -233,6 +478,10 @@ let suites =
         tc "basics" `Quick test_text_index_basics;
         tc "remove" `Quick test_text_index_remove;
         tc "ambiguous rows" `Quick test_text_index_ambiguous_rows;
+        tc "rid packing" `Quick test_rid_packing;
+        test_model_dna;
+        test_model_raw_text;
+        tc "postings footprint" `Quick test_postings_footprint;
       ] );
     ( "genomic_index.table",
       [ tc "create/search/maintain" `Quick test_table_genomic_index ] );
