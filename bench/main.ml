@@ -865,7 +865,22 @@ let e10 () =
 let a1 () =
   heading "A1" "Ablation: integrator blocking vs all-pairs scoring";
   let r = rng () in
-  let header = [ "entries"; "blocked pairs scored"; "blocked"; "all-pairs"; "speedup"; "same duplicates" ] in
+  let header =
+    [ "entries"; "blocked pairs scored"; "def-sim skipped"; "duplicates"; "blocked"; "all-pairs";
+      "speedup"; "same duplicates" ]
+  in
+  let identical = ref true in
+  let pairs_c = Obs.counter "etl.reconcile.pairs"
+  and skipped_c = Obs.counter "etl.reconcile.defsim_skipped" in
+  (* one recorded call: (cross-source candidate pairs, Levenshtein skips) *)
+  let counted f =
+    let was = Obs.enabled () in
+    Obs.set_enabled true;
+    let p0 = Obs.value pairs_c and s0 = Obs.value skipped_c in
+    f ();
+    Obs.set_enabled was;
+    (Obs.value pairs_c - p0, Obs.value skipped_c - s0)
+  in
   let rows =
     List.map
       (fun size ->
@@ -877,6 +892,9 @@ let a1 () =
           List.map (fun e -> ("A", e)) repo_a @ List.map (fun e -> ("B", e)) repo_b
         in
         let blocked = ref [] in
+        let scored, skipped =
+          counted (fun () -> ignore (Genalg_etl.Integrator.find_duplicates ~threshold:0.6 sourced))
+        in
         let blocked_t =
           measure ~runs:3 (fun () ->
               blocked := Genalg_etl.Integrator.find_duplicates ~threshold:0.6 sourced)
@@ -893,32 +911,38 @@ let a1 () =
                     (fun j (src_j, e_j) ->
                       if j > i && src_i <> src_j then begin
                         let s = Genalg_etl.Integrator.pair_score e_i e_j in
-                        if s >= 0.6 then acc := (e_i, e_j) :: !acc
+                        if s >= 0.6 then acc := (e_i, e_j, s) :: !acc
                       end)
                     arr)
                 arr;
               all := !acc)
         in
-        let key (a : Genalg_formats.Entry.t) (b : Genalg_formats.Entry.t) =
-          (a.Genalg_formats.Entry.accession, b.Genalg_formats.Entry.accession)
+        let key (a : Genalg_formats.Entry.t) (b : Genalg_formats.Entry.t) s =
+          (a.Genalg_formats.Entry.accession, b.Genalg_formats.Entry.accession, s)
         in
         let blocked_keys =
-          List.map (fun ((_, a), (_, b), _) -> key a b) !blocked
-          |> List.sort compare
+          List.map (fun ((_, a), (_, b), s) -> key a b s) !blocked |> List.sort compare
         in
-        let all_keys = List.map (fun (a, b) -> key a b) !all |> List.sort compare in
+        let all_keys = List.map (fun (a, b, s) -> key a b s) !all |> List.sort compare in
+        (* same pairs with equal scores *)
+        let same = blocked_keys = all_keys in
+        if not same then identical := false;
         [
           string_of_int (2 * size);
+          string_of_int scored;
+          string_of_int skipped;
           string_of_int (List.length !blocked);
           fmt_ms blocked_t;
           fmt_ms all_t;
           Printf.sprintf "%.1fx" (all_t /. blocked_t);
-          string_of_bool (blocked_keys = all_keys);
+          string_of_bool same;
         ])
       [ 100; 200 ]
   in
   print_table header rows;
-  note "blocking loses no duplicates on this workload (same organisms/lengths cluster)"
+  note "blocking loses no duplicates on this workload (same organisms/lengths cluster)";
+  (* machine-checkable marker for ci.sh's integrator smoke step *)
+  Printf.printf "integrator-smoke: pairs-identical=%s\n" (if !identical then "yes" else "no")
 
 (* A2: word size of the genomic k-mer index                              *)
 let a2 () =
@@ -2553,6 +2577,7 @@ let experiments =
     ("T1", t1); ("F1", f1); ("F2", f2); ("F3", f3);
     ("E1", e1); ("E2", e2); ("E3", e3); ("E4", e4); ("E5", e5);
     ("E6", e6); ("E7", e7); ("E8", e8); ("E9", e9); ("E10", e10);
+    ("A1", a1);
     ("ABLATE", ablations);
     ("PAR", par_bench);
     ("OPT", opt_bench);

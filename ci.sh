@@ -41,6 +41,14 @@ echo "$E8_OUT" | grep -q "genomic-smoke: results-identical=yes" || {
   exit 1
 }
 
+echo "== smoke: integrator (A1 bench: blocked duplicates equal all-pairs scoring) =="
+A1_OUT=$(dune exec bench/main.exe -- A1)
+echo "$A1_OUT"
+echo "$A1_OUT" | grep -q "integrator-smoke: pairs-identical=yes" || {
+  echo "integrator smoke FAILED: find_duplicates disagrees with all-pairs pair_score" >&2
+  exit 1
+}
+
 echo "== smoke: parallel engine (PAR bench: hash join >=2x, jobs-identical) =="
 PAR_OUT=$(GENALG_PAR_N=2500 dune exec bench/main.exe -- PAR)
 echo "$PAR_OUT"

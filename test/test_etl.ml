@@ -447,6 +447,98 @@ let test_pipeline_with_active_source () =
       | _ -> Alcotest.fail "row count after push refresh")
   | Error m -> Alcotest.fail m
 
+(* ---- integrator vs the string-set oracle ----------------------------- *)
+
+module Q = QCheck2
+
+(* Entries cut from three fixed 620 bp ACGT templates, so that noisy
+   copies share most k-mers. About a quarter are recoded as IUPAC DNA (an N),
+   RNA (T -> U) or protein (same letters, one L), all of which keep the
+   string fallback; protein letters collide with DNA k-mer strings on
+   purpose. Lengths cluster at the 200 bp band edges, the 0.7 length
+   ratio and below k. *)
+let templates =
+  let st = Random.State.make [| 13 |] in
+  Array.init 3 (fun _ -> String.init 620 (fun _ -> "ACGT".[Random.State.int st 4]))
+
+let gen_entry =
+  let open Q.Gen in
+  let* template = int_bound 2
+  and* offset = frequency [ (3, pure 0); (1, int_bound 10) ]
+  and* len =
+    frequency
+      [ (3, pure 600); (2, pure 200); (1, int_range 0 9); (2, int_range 190 215);
+        (1, int_range 275 290); (1, int_range 395 405); (1, int_range 410 430);
+        (1, int_range 560 610) ]
+  and* subs = list_size (int_bound 12) (pair (int_bound 619) (oneofl [ 'A'; 'C'; 'G'; 'T' ]))
+  and* kind = frequency [ (8, pure `Dna); (1, pure `Iupac); (1, pure `Rna); (1, pure `Protein) ]
+  and* organism = oneofl [ "human"; "mouse" ]
+  and* definition =
+    oneofl [ "hypothetical protein"; "hypothetical protein X"; "ribosomal RNA"; "" ]
+  and* source = oneofl [ "A"; "B"; "C" ]
+  and* accession = int_bound 999 in
+  let b = Bytes.of_string (String.sub templates.(template) offset len) in
+  List.iter (fun (p, c) -> if p < len then Bytes.set b p c) subs;
+  let mark c = if len > 0 then Bytes.set b (len / 2) c in
+  let alphabet, letters =
+    match kind with
+    | `Dna -> (Sequence.Dna, Bytes.to_string b)
+    | `Iupac -> mark 'N'; (Sequence.Dna, Bytes.to_string b)
+    | `Rna -> (Sequence.Rna, String.map (function 'T' -> 'U' | c -> c) (Bytes.to_string b))
+    | `Protein -> mark 'L'; (Sequence.Protein, Bytes.to_string b)
+  in
+  pure
+    ( source,
+      Entry.make ~definition ~organism ~accession:(Printf.sprintf "Q%03d" accession)
+        (Sequence.of_string_exn alphabet letters) )
+
+let print_sourced l =
+  String.concat "\n"
+    (List.map
+       (fun (src, (e : Entry.t)) ->
+         Printf.sprintf "%s %s %s %S %s" src e.Entry.accession e.Entry.organism
+           e.Entry.definition (Sequence.to_string e.Entry.sequence))
+       l)
+
+let same_pairs a b =
+  List.length a = List.length b
+  && List.for_all2
+       (fun ((sa, ea), (sb, eb), s) ((sa', ea'), (sb', eb'), s') ->
+         sa = sa' && ea == ea' && sb = sb' && eb == eb' && Float.equal s s')
+       a b
+
+let test_find_duplicates_matches_oracle =
+  QCheck_alcotest.to_alcotest
+    (Q.Test.make ~count:100 ~name:"find_duplicates equals the string-set oracle"
+       ~print:print_sourced (Q.Gen.list_size (Q.Gen.int_bound 24) gen_entry)
+       (fun sourced ->
+         List.for_all
+           (fun threshold ->
+             same_pairs
+               (Integrator.find_duplicates ~threshold sourced)
+               (Integrator_oracle.find_duplicates ~threshold sourced))
+           [ 0.0; 0.2; 0.5; 0.6; 1.0 ]))
+
+let test_scores_match_oracle =
+  QCheck_alcotest.to_alcotest
+    (Q.Test.make ~count:60 ~name:"pair_score and kmer_similarity equal the oracle"
+       ~print:(fun (k, l) -> Printf.sprintf "k=%d\n%s" k (print_sourced l))
+       Q.Gen.(pair (oneofl [ 1; 4; 8; 31; 32 ]) (list_size (int_bound 8) gen_entry))
+       (fun (k, sourced) ->
+         let entries = List.map snd sourced in
+         List.for_all
+           (fun (a : Entry.t) ->
+             List.for_all
+               (fun (b : Entry.t) ->
+                 let sa = a.Entry.sequence and sb = b.Entry.sequence in
+                 Float.equal (Integrator.pair_score a b) (Integrator_oracle.pair_score a b)
+                 && Float.equal (Integrator.kmer_similarity sa sb)
+                      (Integrator_oracle.kmer_similarity sa sb)
+                 && Float.equal (Integrator.kmer_similarity ~k sa sb)
+                      (Integrator_oracle.kmer_similarity ~k sa sb))
+               entries)
+           entries))
+
 let suites =
   [
     ( "etl.delta",
@@ -489,6 +581,8 @@ let suites =
         tc "duplicates vs ground truth" `Quick test_find_duplicates_on_ground_truth;
         tc "merge keeps conflicts" `Quick test_reconcile_merges_and_keeps_conflicts;
         tc "distinct stay apart" `Quick test_reconcile_keeps_distinct_entries_apart;
+        test_find_duplicates_matches_oracle;
+        test_scores_match_oracle;
       ] );
     ( "etl.loader",
       [
